@@ -135,3 +135,39 @@ fn unknown_workloads_are_rejected_before_any_work() {
     client.shutdown().unwrap();
     server.join();
 }
+
+#[test]
+fn deeply_nested_frames_get_an_error_and_the_server_stays_up() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let path = test_socket("nested");
+    let sweep = Arc::new(Sweep::in_memory());
+    let server = Server::spawn(&path, Arc::clone(&sweep)).unwrap();
+    Client::connect_retry(&path, Duration::from_secs(10))
+        .unwrap()
+        .ping()
+        .unwrap();
+
+    // 100,000 nested arrays: far below the frame-size limit, far beyond
+    // any stack a recursive parser could spend on them.
+    let frame = "[".repeat(100_000);
+    let mut raw = UnixStream::connect(&path).unwrap();
+    raw.write_all(&(frame.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(frame.as_bytes()).unwrap();
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).unwrap();
+    let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
+    raw.read_exact(&mut reply).unwrap();
+    let reply = String::from_utf8(reply).unwrap();
+    assert!(reply.contains("malformed request"), "{reply}");
+    assert!(reply.contains("recursion limit"), "{reply}");
+    drop(raw);
+
+    // The next client is served as usual.
+    let mut client = Client::connect_retry(&path, Duration::from_secs(10)).unwrap();
+    client.ping().unwrap();
+    assert_eq!(client.server_stats().unwrap().simulated, 0);
+    client.shutdown().unwrap();
+    server.join();
+}

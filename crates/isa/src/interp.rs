@@ -68,10 +68,33 @@ pub struct Interpreter {
     /// Pre-decoded text segment (derived state, never serialized; kept
     /// coherent on every store/restore that touches covered words).
     predec: DecodeCache,
+    /// One bit per [`PAGE_BYTES`] page: set for every page the load
+    /// image or a write has touched. A clear bit guarantees the page is
+    /// all zero, which is what lets digests and snapshot deltas skip it.
+    touched: Vec<u64>,
 }
 
 /// Default memory size: 16 MB, matching the paper's default NVM capacity.
 pub const DEFAULT_MEM_BYTES: usize = 16 << 20;
+
+/// Granule of the interpreter's touched-page map, in bytes.
+pub const PAGE_BYTES: usize = 4096;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^(PAGE_BYTES / 8)`. FNV-1a folds a zero word as
+/// `(h ^ 0)·P = h·P`, so folding a whole zero page is one
+/// multiplication by this constant.
+const ZERO_PAGE_MUL: u64 = {
+    let mut m = 1u64;
+    let mut i = 0;
+    while i < PAGE_BYTES / 8 {
+        m = m.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    m
+};
 
 impl Interpreter {
     /// Creates an interpreter with the default 16 MB memory and loads
@@ -100,14 +123,20 @@ impl Interpreter {
         let mut regs = [0u32; 16];
         regs[Reg::Sp.index()] = STACK_TOP.min(mem_bytes as u32 - 16);
         let predec = DecodeCache::build(&mem, program.text_end());
-        Interpreter {
+        let pages = mem_bytes.div_ceil(PAGE_BYTES);
+        let mut vm = Interpreter {
             regs,
             pc: program.entry,
             mem,
             halted: false,
             executed: 0,
             predec,
+            touched: vec![0; pages.div_ceil(64)],
+        };
+        for page in program.covered_pages() {
+            vm.touch(page);
         }
+        vm
     }
 
     /// Enables or disables the pre-decoded fast path (enabled by
@@ -166,14 +195,39 @@ impl Interpreter {
         self.regs
     }
 
-    /// FNV-1a digest of the entire memory image.
+    /// FNV-1a digest of the entire memory image, equal to
+    /// [`mem_digest_of`]`(self.mem())`.
     ///
     /// Used by the differential oracle in `ehs-verify` to compare the
     /// final memory state of the golden interpreter against the
-    /// cycle-level machine without copying 16 MB around. Chunked over
-    /// 8-byte words so it stays cheap even in debug builds.
+    /// cycle-level machine, and by snapshots to fingerprint memory.
+    /// Costs O(touched pages): only [`Interpreter::touched_pages`] are
+    /// read; every other full page is known to be zero and folds as a
+    /// single multiplication.
     pub fn mem_digest(&self) -> u64 {
-        mem_digest_of(&self.mem)
+        let len = self.mem.len();
+        paged_digest(
+            len,
+            |p| self.page_touched(p),
+            |h, p| fold_words(h, &self.mem[page_range(p, len)]),
+        )
+    }
+
+    /// Ascending indices of the [`PAGE_BYTES`] pages that may hold a
+    /// nonzero byte: those of the load image and every page written
+    /// since. All other pages are zero.
+    pub fn touched_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.mem.len().div_ceil(PAGE_BYTES)).filter(|&p| self.page_touched(p))
+    }
+
+    #[inline]
+    fn page_touched(&self, page: usize) -> bool {
+        self.touched[page / 64] & (1 << (page % 64)) != 0
+    }
+
+    #[inline]
+    fn touch(&mut self, page: usize) {
+        self.touched[page / 64] |= 1 << (page % 64);
     }
 
     /// Reads a little-endian word from memory (for assertions in tests).
@@ -197,8 +251,10 @@ impl Interpreter {
 
     /// A view of the entire memory image.
     ///
-    /// Used by the snapshot subsystem in `ehs-sim` to diff the live
-    /// image against a freshly loaded program without copying 16 MB.
+    /// Taking the view is free, but scanning it is O(image size).
+    /// Outside [`Interpreter::touched_pages`] every byte is zero, so
+    /// scans that care about cost (the digest, the snapshot delta in
+    /// `ehs-sim`) read only those pages.
     pub fn mem(&self) -> &[u8] {
         &self.mem
     }
@@ -211,6 +267,9 @@ impl Interpreter {
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;
         self.mem[a..a + bytes.len()].copy_from_slice(bytes);
+        for page in a / PAGE_BYTES..(a + bytes.len()).div_ceil(PAGE_BYTES) {
+            self.touch(page);
+        }
         self.predec.refresh_range(&self.mem, addr, bytes.len());
     }
 
@@ -270,6 +329,8 @@ impl Interpreter {
             MemWidth::Half => self.mem[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
             MemWidth::Word => self.mem[a..a + 4].copy_from_slice(&value.to_le_bytes()),
         }
+        // Aligned and at most one word wide: never straddles a page.
+        self.touch(a / PAGE_BYTES);
         // Self-modifying code: the access is aligned and at most one
         // word wide, so at most one pre-decoded slot can change.
         self.predec.refresh_word(&self.mem, addr);
@@ -478,12 +539,45 @@ impl Interpreter {
 
 /// FNV-1a over 8-byte little-endian chunks (plus a length-tagged tail).
 ///
-/// Shared by [`Interpreter::mem_digest`] and the simulator's equivalent
-/// accessor so both sides hash identically.
+/// The reference definition of [`Interpreter::mem_digest`] and
+/// [`Program::image_digest`], which compute the same value page by page
+/// in O(touched pages).
 pub fn mem_digest_of(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    fold_words(FNV_OFFSET, bytes)
+}
+
+/// Byte range of page `page` in a `len`-byte image (the last page may be
+/// short).
+pub(crate) fn page_range(page: usize, len: usize) -> std::ops::Range<usize> {
+    page * PAGE_BYTES..((page + 1) * PAGE_BYTES).min(len)
+}
+
+/// [`mem_digest_of`] of a `len`-byte image, one page at a time:
+/// `fold_page(h, page)` folds a page's bytes into `h`. A full page
+/// `touched` reports clear is known to be zero and folds as a single
+/// multiplication by [`ZERO_PAGE_MUL`]; a short last page always folds
+/// its bytes, because it carries the image's length-tagged tail.
+pub(crate) fn paged_digest(
+    len: usize,
+    touched: impl Fn(usize) -> bool,
+    mut fold_page: impl FnMut(u64, usize) -> u64,
+) -> u64 {
     let mut h = FNV_OFFSET;
+    for page in 0..len.div_ceil(PAGE_BYTES) {
+        h = if touched(page) || (page + 1) * PAGE_BYTES > len {
+            fold_page(h, page)
+        } else {
+            h.wrapping_mul(ZERO_PAGE_MUL)
+        };
+    }
+    h
+}
+
+/// Folds `bytes` into the FNV-1a state `h` one 8-byte word at a time. A
+/// short tail (which only the end of an image has) is zero-padded and
+/// followed by its length, so folding consecutive pages equals folding
+/// the whole image.
+pub(crate) fn fold_words(mut h: u64, bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));

@@ -52,6 +52,8 @@ mod reg;
 
 pub use error::{AsmError, ExecError};
 pub use instr::{imm18_range, imm22_range, DecodeError, ExecClass, Instr, MemWidth};
-pub use interp::{mem_digest_of, AccessKind, Interpreter, MemAccess, Step, DEFAULT_MEM_BYTES};
+pub use interp::{
+    mem_digest_of, AccessKind, Interpreter, MemAccess, Step, DEFAULT_MEM_BYTES, PAGE_BYTES,
+};
 pub use program::{Program, Segment, DATA_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{ParseRegError, Reg, NUM_REGS};

@@ -1,8 +1,9 @@
 //! Linked program images and the simulated memory map.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use crate::interp::{fold_words, page_range, paged_digest, PAGE_BYTES};
 use crate::{DecodeError, Instr};
 
 /// Base address of the text (code) segment.
@@ -106,6 +107,55 @@ impl Program {
         });
         out.extend(self.data.iter().cloned());
         out
+    }
+
+    /// Copies the load image's bytes at `[addr, addr + out.len())` into
+    /// `out`: what [`Interpreter::with_mem_size`] places there, zero
+    /// where no segment does. Reads only the program, never a full
+    /// memory image.
+    ///
+    /// [`Interpreter::with_mem_size`]: crate::Interpreter::with_mem_size
+    pub fn image_bytes(&self, addr: usize, out: &mut [u8]) {
+        out.fill(0);
+        let end = addr + out.len();
+        let text = TEXT_BASE as usize;
+        for a in addr.max(text)..end.min(self.text_end() as usize) {
+            out[a - addr] = self.text[(a - text) / 4].to_le_bytes()[(a - text) % 4];
+        }
+        for seg in &self.data {
+            let (lo, hi) = (addr.max(seg.base as usize), end.min(seg.end() as usize));
+            if lo < hi {
+                out[lo - addr..hi - addr]
+                    .copy_from_slice(&seg.bytes[lo - seg.base as usize..hi - seg.base as usize]);
+            }
+        }
+    }
+
+    /// Indices of the [`PAGE_BYTES`] pages holding an initialised byte
+    /// (ascending per segment; a page shared by two segments repeats).
+    pub(crate) fn covered_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(TEXT_BASE..self.text_end())
+            .chain(self.data.iter().map(|s| s.base..s.end()))
+            .filter(|r| !r.is_empty())
+            .flat_map(|r| r.start as usize / PAGE_BYTES..(r.end as usize).div_ceil(PAGE_BYTES))
+    }
+
+    /// FNV-1a digest of the program's fresh `mem_bytes`-byte load image,
+    /// equal to `Interpreter::with_mem_size(self, mem_bytes).mem_digest()`
+    /// without building the image: O(pages the program covers).
+    pub fn image_digest(&self, mem_bytes: usize) -> u64 {
+        let covered: BTreeSet<usize> = self.covered_pages().collect();
+        let mut buf = [0u8; PAGE_BYTES];
+        paged_digest(
+            mem_bytes,
+            |p| covered.contains(&p),
+            |h, p| {
+                let r = page_range(p, mem_bytes);
+                let page = &mut buf[..r.len()];
+                self.image_bytes(r.start, page);
+                fold_words(h, page)
+            },
+        )
     }
 
     /// Total initialised footprint in bytes (text + data).

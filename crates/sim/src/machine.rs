@@ -1,5 +1,8 @@
 //! The simulated machine and its main loop.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use ehs_energy::{mw_to_nj_per_cycle, Capacitor, EnergyBreakdown, PowerTrace};
 use ehs_isa::{ExecClass, ExecError, Interpreter, Program};
 use ehs_mem::{block_of, Cache, InsertOutcome, Nvm, Persist, PrefetchBuffer, ReadReason};
@@ -8,6 +11,7 @@ use ipex::AnyPolicy;
 
 use serde::{Deserialize, Serialize};
 
+use crate::canon;
 use crate::config::{PrefetchMode, CYCLES_PER_TRACE_SAMPLE};
 use crate::snapshot::{self, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::trace::{EventCounts, PathId, SimEvent, TraceSink, Tracer};
@@ -182,6 +186,9 @@ pub struct Machine {
     hspan_start: u64,
     hspan_end: u64,
     hspan_rate: f64,
+    /// [`snapshot::trace_digest`] of `trace`, computed on first use
+    /// (runs that never snapshot never hash their trace).
+    trace_digest: OnceLock<u64>,
 }
 
 impl Machine {
@@ -282,6 +289,7 @@ impl Machine {
             hspan_start: 0,
             hspan_end: 0,
             hspan_rate: 0.0,
+            trace_digest: OnceLock::new(),
             cfg,
         }
     }
@@ -506,21 +514,23 @@ impl Machine {
     /// Meaningful at any pause point — after construction, after a
     /// paused [`Machine::run_until`] (including mid-backup and
     /// mid-recharge), or after completion.
+    ///
+    /// Memory costs O(touched pages) (see
+    /// [`Interpreter::touched_pages`]); the trace is hashed once per
+    /// machine ([`Machine::trace_digest`]).
     pub fn snapshot(&self, program: &Program) -> Snapshot {
-        let fresh = Interpreter::with_mem_size(program, self.cfg.nvm.size_bytes as usize);
-        let mem_delta = snapshot::mem_delta(fresh.mem(), self.interp.mem());
         Snapshot {
             version: SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
-            program_digest: fresh.mem_digest(),
-            trace_digest: snapshot::trace_digest(&self.trace),
+            program_digest: program.image_digest(self.interp.mem_len()),
+            trace_digest: self.trace_digest(),
             cycle: self.cycle,
             phase: self.phase,
             regs: self.interp.registers(),
             pc: self.interp.pc(),
             halted: self.interp.halted(),
             executed: self.interp.executed(),
-            mem_delta,
+            mem_delta: snapshot::mem_delta(program, &self.interp),
             mem_digest: self.interp.mem_digest(),
             icache: self.ipath.cache.export_state(),
             dcache: self.dpath.cache.export_state(),
@@ -557,6 +567,10 @@ impl Machine {
     /// uninterrupted run would, so results, energy totals (f64-exact)
     /// and event counts all match.
     ///
+    /// Apart from building the machine, resume costs O(touched pages)
+    /// plus one hash of the trace: both memory-digest checks read only
+    /// touched pages, and current-version snapshots are used in place.
+    ///
     /// Tracing restarts from the snapshot's [`EventCounts`] under the
     /// configured [`TraceMode`](crate::TraceMode) — but note that
     /// resuming with a JSONL file sink truncates the file (the events of
@@ -572,19 +586,61 @@ impl Machine {
         program: &Program,
         trace: PowerTrace,
     ) -> Result<Machine, SnapshotError> {
+        let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
+        m.restore(snap)?;
+        Ok(m)
+    }
+
+    /// FNV-1a identity digest of this machine's power trace (see
+    /// [`snapshot::trace_digest`]), computed on the first call and
+    /// reused by every later snapshot and restore.
+    pub fn trace_digest(&self) -> u64 {
+        *self
+            .trace_digest
+            .get_or_init(|| snapshot::trace_digest(&self.trace))
+    }
+
+    /// Loads a snapshot into this freshly built machine:
+    /// [`Machine::resume`] is `Machine::with_trace(snap.cfg, program,
+    /// trace)` followed by this call.
+    ///
+    /// Callers that re-stamp a snapshot's `trace_digest` for a
+    /// prefix-agreeing trace (the checkpointed shrinker) build the
+    /// machine first and stamp [`Machine::trace_digest`], so the trace
+    /// is hashed once for the stamp, this check and later snapshots.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::resume`]; also [`SnapshotError::State`] if this
+    /// machine has already run or was built from a different
+    /// configuration. The memory image must still be the fresh load
+    /// image: its digest is the program check.
+    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         // Bring older-format snapshots forward (or reject them) before
         // any state is applied; see `Snapshot::migrate` for the history.
-        let snap = &snap.clone().migrate()?;
-        debug_assert_eq!(snap.version, SNAPSHOT_VERSION);
-        let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
-        let program_digest = m.interp.mem_digest();
+        // Current snapshots are used in place, not cloned.
+        let snap = match snap.version {
+            SNAPSHOT_VERSION => Cow::Borrowed(snap),
+            _ => Cow::Owned(snap.clone().migrate()?),
+        };
+        if self.cycle != 0 || self.interp.executed() != 0 {
+            return Err(SnapshotError::State(
+                "restore needs a freshly built machine".into(),
+            ));
+        }
+        if canon::canonical_digest(&self.cfg) != canon::canonical_digest(&snap.cfg) {
+            return Err(SnapshotError::State(
+                "machine was built from a different configuration".into(),
+            ));
+        }
+        let program_digest = self.interp.mem_digest();
         if snap.program_digest != program_digest {
             return Err(SnapshotError::ProgramMismatch {
                 found: snap.program_digest,
                 expected: program_digest,
             });
         }
-        let trace_digest = snapshot::trace_digest(&m.trace);
+        let trace_digest = self.trace_digest();
         if snap.trace_digest != trace_digest {
             return Err(SnapshotError::TraceMismatch {
                 found: snap.trace_digest,
@@ -592,7 +648,8 @@ impl Machine {
             });
         }
 
-        let image_len = m.interp.mem().len();
+        let m = self;
+        let image_len = m.interp.mem_len();
         snapshot::apply_mem_delta(&snap.mem_delta, image_len, |addr, bytes| {
             m.interp.write_bytes(addr, bytes)
         })?;
@@ -673,7 +730,7 @@ impl Machine {
                 SnapshotError::State(format!("fault register index {i} out of range"))
             })?),
         };
-        Ok(m)
+        Ok(())
     }
 
     /// Snapshot of all statistics so far.
@@ -1604,9 +1661,34 @@ mod tests {
         let mut stale = snap.clone();
         stale.version += 1;
         assert!(matches!(
-            Machine::resume(&stale, &program, trace),
+            Machine::resume(&stale, &program, trace.clone()),
             Err(SnapshotError::VersionMismatch { .. })
         ));
+
+        // `restore` loads only into a fresh machine of the same config.
+        let mut ran = Machine::with_trace(SimConfig::default(), &program, trace.clone());
+        let _ = ran.run_until(10).unwrap();
+        assert!(matches!(ran.restore(&snap), Err(SnapshotError::State(_))));
+        let mut cfg = SimConfig::default();
+        cfg.capacitor.v_max += 0.25;
+        let mut other = Machine::with_trace(cfg, &program, trace.clone());
+        assert!(matches!(other.restore(&snap), Err(SnapshotError::State(_))));
+        let mut fresh = Machine::with_trace(SimConfig::default(), &program, trace);
+        fresh.restore(&snap).unwrap();
+        assert_eq!(fresh.state_digest(&program), m.state_digest(&program));
+    }
+
+    #[test]
+    fn trace_digest_is_computed_once_and_matches_the_free_function() {
+        let program = tiny_program();
+        let trace = PowerTrace::constant_mw(3.0, 64);
+        let m = Machine::with_trace(SimConfig::default(), &program, trace.clone());
+        assert!(m.trace_digest.get().is_none(), "no hash before first use");
+        assert_eq!(m.trace_digest(), snapshot::trace_digest(&trace));
+        assert_eq!(
+            m.snapshot(&program).trace_digest,
+            snapshot::trace_digest(&trace)
+        );
     }
 
     #[test]

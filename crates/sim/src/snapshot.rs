@@ -24,10 +24,22 @@
 //! cache every N cycles) while still making stale-checkpoint reuse a
 //! loud error rather than silent corruption.
 //!
+//! Capture and resume cost what the run touched, not the image size.
+//! The interpreter tracks which 4 KiB pages the load image and later
+//! writes touched ([`Interpreter::touched_pages`]); every other page is
+//! zero. [`mem_delta`] diffs only touched pages against the program's
+//! bytes for those pages, and the memory digests fold untouched pages
+//! in one multiplication each. The trace digest is computed once per
+//! machine ([`Machine::trace_digest`]). A typical corpus snapshot
+//! touches 3–9 of 4096 pages; capture, decode and resume each take
+//! well under a millisecond (DESIGN.md §7 has the numbers).
+//!
 //! [`Machine`]: crate::Machine
+//! [`Machine::trace_digest`]: crate::Machine::trace_digest
 //! [`Machine::resume`]: crate::Machine::resume
 
 use ehs_energy::{EnergyBreakdown, PowerTrace};
+use ehs_isa::{Interpreter, Program, PAGE_BYTES};
 use ehs_mem::{BufferState, CacheState, NvmState};
 use ehs_prefetch::PrefetcherState;
 use ipex::ThrottleState;
@@ -298,33 +310,51 @@ pub fn trace_digest(trace: &PowerTrace) -> u64 {
 /// a few redundant bytes).
 const COALESCE_GAP: usize = 16;
 
-/// Computes the sparse delta of `cur` against the fresh image `base`.
+/// Computes the sparse delta of `interp`'s memory against `program`'s
+/// fresh load image.
 ///
-/// # Panics
-///
-/// Panics if the images differ in length (always equal in practice:
-/// both are sized by `cfg.nvm.size_bytes`).
-pub fn mem_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
-    assert_eq!(base.len(), cur.len(), "image size mismatch");
+/// Costs O(touched pages): only [`Interpreter::touched_pages`] can
+/// differ from the load image (every other page is zero in both), and
+/// each is diffed against the program bytes of that page alone. Runs of
+/// differing bytes whose gaps are shorter than 16 bytes merge,
+/// also across page boundaries, exactly as a byte-by-byte scan of the
+/// whole image would merge them.
+pub fn mem_delta(program: &Program, interp: &Interpreter) -> Vec<MemRun> {
+    let cur = interp.mem();
+    let mut base = [0u8; PAGE_BYTES];
     let mut runs = Vec::new();
-    let mut i = 0usize;
-    while let Some(start) = first_diff(base, cur, i) {
-        // Extend the run until COALESCE_GAP consecutive equal bytes.
-        let mut end = start + 1;
-        let mut j = start + 1;
-        while j < cur.len() && j < end + COALESCE_GAP {
-            if base[j] != cur[j] {
-                end = j + 1;
+    // The run being extended, as `[start, end)`.
+    let mut open: Option<(usize, usize)> = None;
+    for page in interp.touched_pages() {
+        let at = page * PAGE_BYTES;
+        let now = &cur[at..(at + PAGE_BYTES).min(cur.len())];
+        let was = &mut base[..now.len()];
+        program.image_bytes(at, was);
+        let mut i = 0;
+        while let Some(d) = first_diff(was, now, i) {
+            let addr = at + d;
+            match &mut open {
+                Some((_, end)) if addr < *end + COALESCE_GAP => *end = addr + 1,
+                _ => {
+                    if let Some((s, e)) = open.replace((addr, addr + 1)) {
+                        runs.push(mem_run(cur, s, e));
+                    }
+                }
             }
-            j += 1;
+            i = d + 1;
         }
-        runs.push(MemRun {
-            addr: start as u32,
-            hex: hex_encode(&cur[start..end]),
-        });
-        i = end;
+    }
+    if let Some((s, e)) = open {
+        runs.push(mem_run(cur, s, e));
     }
     runs
+}
+
+fn mem_run(cur: &[u8], start: usize, end: usize) -> MemRun {
+    MemRun {
+        addr: start as u32,
+        hex: hex_encode(&cur[start..end]),
+    }
 }
 
 /// Applies a delta produced by [`mem_delta`] via `write(addr, bytes)`.
@@ -407,6 +437,174 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehs_isa::asm::assemble;
+    use ehs_isa::mem_digest_of;
+    use proptest::prelude::*;
+
+    /// Reference delta: a byte-by-byte scan of two whole images.
+    fn full_scan_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
+        assert_eq!(base.len(), cur.len(), "image size mismatch");
+        let mut runs = Vec::new();
+        let mut i = 0usize;
+        while let Some(start) = first_diff(base, cur, i) {
+            // Extend the run until COALESCE_GAP consecutive equal bytes.
+            let mut end = start + 1;
+            let mut j = start + 1;
+            while j < cur.len() && j < end + COALESCE_GAP {
+                if base[j] != cur[j] {
+                    end = j + 1;
+                }
+                j += 1;
+            }
+            runs.push(mem_run(cur, start, end));
+            i = end;
+        }
+        runs
+    }
+
+    /// The segments of [`program_with_stores`]'s load image: one that
+    /// straddles a page boundary and one in a page of its own.
+    fn data_segments() -> Vec<ehs_isa::Segment> {
+        vec![
+            ehs_isa::Segment {
+                base: 3 * PAGE_BYTES as u32 - 5,
+                bytes: (1..=12).collect(),
+            },
+            ehs_isa::Segment {
+                base: 9 * PAGE_BYTES as u32 + 100,
+                bytes: vec![0xee; 40],
+            },
+        ]
+    }
+
+    /// One memory write: a store instruction or a raw `write_bytes`.
+    #[derive(Debug, Clone)]
+    enum Write {
+        Store {
+            addr: usize,
+            width: usize,
+            value: u32,
+        },
+        Bytes {
+            addr: usize,
+            bytes: Vec<u8>,
+        },
+    }
+
+    /// A program whose text performs the `Store` writes in order, over
+    /// [`data_segments`].
+    fn program_with_stores(writes: &[Write]) -> Program {
+        let mut src = String::from(".text\nmain:\n");
+        for w in writes {
+            if let Write::Store { addr, width, value } = w {
+                let op = ["", "sb", "sh", "", "sw"][*width];
+                src += &format!(" li a1, {addr}\n li t0, {value}\n {op} t0, 0(a1)\n");
+            }
+        }
+        src += " halt\n";
+        let mut p = assemble(&src).unwrap();
+        p.data = data_segments();
+        p
+    }
+
+    /// A write drawn independently of the image size:
+    /// `(store?, where, r, offset, width, value, bytes)`.
+    type RawWrite = (bool, u8, u64, usize, usize, u32, Vec<u8>);
+
+    fn raw_write() -> impl Strategy<Value = RawWrite> {
+        (
+            (any::<bool>(), 0u8..3, any::<u64>(), 0usize..24),
+            (
+                prop_oneof![Just(1usize), Just(2), Just(4)],
+                any::<u32>(),
+                collection::vec(any::<u8>(), 0..40),
+            ),
+        )
+            .prop_map(|((store, at, r, off), (width, value, bytes))| {
+                (store, at, r, off, width, value, bytes)
+            })
+    }
+
+    /// Places a raw write in a `len`-byte image, inside `[PAGE_BYTES,
+    /// len)` (page 0 holds the text): anywhere, just below a page
+    /// boundary, or at the very end of the image.
+    fn place(raw: RawWrite, len: usize) -> Write {
+        let (store, at, r, off, width, value, bytes) = raw;
+        let pages = len.div_ceil(PAGE_BYTES) as u64;
+        let addr = match at {
+            0 => PAGE_BYTES + (r % (len - PAGE_BYTES) as u64) as usize,
+            1 => (2 + r % (pages - 2)) as usize * PAGE_BYTES - off,
+            _ => len - 1 - off,
+        };
+        if store {
+            Write::Store {
+                addr: addr.min(len - width) / width * width,
+                width,
+                value,
+            }
+        } else {
+            Write::Bytes {
+                addr: addr.min(len - bytes.len()),
+                bytes,
+            }
+        }
+    }
+
+    /// Runs `writes` in order on a `len`-byte interpreter: stores by
+    /// stepping the program to each store, the rest by `write_bytes`.
+    fn apply_writes(program: &Program, len: usize, writes: &[Write]) -> Interpreter {
+        let mut vm = Interpreter::with_mem_size(program, len);
+        for w in writes {
+            match w {
+                Write::Store { .. } => while vm.step().unwrap().access.is_none() {},
+                Write::Bytes { addr, bytes } => vm.write_bytes(*addr as u32, bytes),
+            }
+        }
+        vm
+    }
+
+    /// The paged digest and delta against their whole-image references.
+    fn assert_paged_matches_full_scan(program: &Program, vm: &Interpreter) {
+        assert_eq!(vm.mem_digest(), mem_digest_of(vm.mem()));
+        let fresh = Interpreter::with_mem_size(program, vm.mem_len());
+        assert_eq!(
+            program.image_digest(vm.mem_len()),
+            mem_digest_of(fresh.mem())
+        );
+        assert_eq!(fresh.mem_digest(), mem_digest_of(fresh.mem()));
+        assert_eq!(
+            mem_delta(program, vm),
+            full_scan_delta(fresh.mem(), vm.mem())
+        );
+    }
+
+    proptest! {
+        /// Over random stores and `write_bytes` — straddling pages,
+        /// hitting the last page — the O(touched) digest and delta equal
+        /// whole-image scans, also for image sizes that are not a
+        /// multiple of the page (or of the 8-byte digest word).
+        #[test]
+        fn paged_digest_and_delta_match_full_scans(raws in collection::vec(raw_write(), 0..24)) {
+            for len in [1 << 21, (1 << 16) + 4093, 13 * PAGE_BYTES] {
+                let writes: Vec<Write> = raws.iter().map(|r| place(r.clone(), len)).collect();
+                let program = program_with_stores(&writes);
+                let vm = apply_writes(&program, len, &writes);
+                assert_paged_matches_full_scan(&program, &vm);
+            }
+        }
+    }
+
+    #[test]
+    fn delta_coalesces_across_a_page_boundary() {
+        let program = program_with_stores(&[]);
+        let mut vm = Interpreter::with_mem_size(&program, 12 * PAGE_BYTES);
+        vm.write_bytes(5 * PAGE_BYTES as u32 - 3, &[1]);
+        vm.write_bytes(5 * PAGE_BYTES as u32 + 10, &[2]);
+        let delta = mem_delta(&program, &vm);
+        assert_eq!(delta.len(), 1, "{delta:?}");
+        assert_eq!(delta[0].hex.len(), 2 * 14);
+        assert_paged_matches_full_scan(&program, &vm);
+    }
 
     #[test]
     fn hex_round_trip() {
@@ -424,7 +622,7 @@ mod tests {
         cur[5] = 9; // gap of 1: coalesced with the first run
         cur[100] = 1;
         cur[4000..4096].fill(0xaa); // run to the very end
-        let delta = mem_delta(&base, &cur);
+        let delta = full_scan_delta(&base, &cur);
         assert_eq!(delta.len(), 3, "{delta:?}");
         assert_eq!(delta[0].addr, 3);
         let mut rebuilt = base.clone();
@@ -438,7 +636,7 @@ mod tests {
     #[test]
     fn mem_delta_of_identical_images_is_empty() {
         let img = vec![42u8; 1 << 16];
-        assert!(mem_delta(&img, &img).is_empty());
+        assert!(full_scan_delta(&img, &img).is_empty());
     }
 
     #[test]

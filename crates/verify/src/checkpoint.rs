@@ -22,9 +22,7 @@
 
 use ehs_energy::PowerTrace;
 use ehs_isa::{ExecError, Program};
-use ehs_sim::{
-    snapshot, FaultPlan, Machine, RunStatus, SimConfig, Snapshot, CYCLES_PER_TRACE_SAMPLE,
-};
+use ehs_sim::{FaultPlan, Machine, RunStatus, SimConfig, Snapshot, CYCLES_PER_TRACE_SAMPLE};
 
 use crate::oracle::{judge, ArchState};
 use crate::shrink::shrink_trace;
@@ -106,10 +104,15 @@ pub fn shrink_trace_checkpointed(
             Some(mut snap) => {
                 // Same machine state under a different (prefix-agreeing)
                 // trace: re-stamp the digest so validation accepts it.
-                snap.trace_digest = snapshot::trace_digest(&trace);
+                // The machine hashes the trace once, for this stamp, the
+                // restore check and every snapshot of this run.
+                let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
+                snap.trace_digest = m.trace_digest();
                 stats.resumed += 1;
                 stats.cycles_skipped += snap.cycle;
-                Machine::resume(&snap, program, trace).expect("prefix-compatible snapshot resumes")
+                m.restore(&snap)
+                    .expect("prefix-compatible snapshot resumes");
+                m
             }
             None => {
                 let mut m = Machine::with_trace(cfg.clone(), program, trace);
