@@ -15,8 +15,7 @@
 //! baseline configuration and once under IPEX(both) — on a single
 //! thread, one fresh [`Machine`] per point, under the paper's default
 //! RFHome trace. The best pass's `cycles/sec` is appended to
-//! `BENCH_core.json` with the same append/migrate discipline as
-//! `BENCH_sweep.json`, so engine throughput is tracked over time.
+//! `BENCH_core.json`, so engine throughput is tracked over time.
 //!
 //! Every record carries an FNV-1a digest of the canonical JSON of all
 //! 40 results: engine rewrites must keep the digest constant, which is
@@ -54,7 +53,9 @@ struct CoreRecord {
 }
 
 /// Decodes one record; unrecognizable entries are dropped (the log is
-/// advisory). New shapes migrate here, mirroring `BENCH_sweep.json`.
+/// advisory). A new record shape needs its migration here: `--check`
+/// reads old records back as `CoreRecord`s, so unlike `paper`'s
+/// `BENCH_sweep.json` this log is not carried over as raw JSON.
 fn migrate_record(c: &serde::Content) -> Option<CoreRecord> {
     CoreRecord::from_content(c).ok()
 }

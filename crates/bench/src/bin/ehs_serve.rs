@@ -63,7 +63,6 @@ fn main() {
     let socket = socket.unwrap_or_else(|| results_dir.join("ehs-serve.sock"));
 
     let sweep = Arc::new(Sweep::new(SweepOptions {
-        slices: None,
         jobs,
         disk_cache: use_cache.then(|| Sweep::default_cache_dir(&results_dir)),
         checkpoints: (checkpoint_every > 0).then(|| CheckpointPolicy {

@@ -9,12 +9,6 @@
 //!                            var if set, else available parallelism)
 //!   --checkpoint-every N     crash-checkpoint in-flight simulations every N
 //!                            simulated cycles (default 250000000; 0 disables)
-//!   --slices K               time-sliced execution: simulate every miss as K
-//!                            parallel slices stitched bit-identically (cut
-//!                            plans are cached; 1 disables)
-//!   --sampled                SMARTS-style sampled mode: render fig27's
-//!                            sampled-vs-full comparison only (equivalent to
-//!                            --only fig27 when no --only is given)
 //!   --stats                  Monte Carlo mode: seed-sweep every headline of
 //!                            the selected figures and report 95% CIs into
 //!                            results/stats/ instead of rendering the figures
@@ -27,8 +21,8 @@
 //! union is deduplicated by content-addressed key and each unique point
 //! is simulated exactly once (asserted), with previously cached points
 //! loaded from `results/.cache/`. Rendering then reuses the memoized
-//! results, so every `results/*.json` is byte-identical to what the
-//! standalone per-figure binaries produce. Each run appends a record to
+//! results, so every `results/*.json` is byte-identical whichever
+//! subset of figures is selected. Each run appends a record to
 //! `BENCH_sweep.json` so cold-vs-warm wall-clock is tracked over time.
 
 use std::collections::HashSet;
@@ -38,10 +32,10 @@ use std::time::Instant;
 use ehs_bench::figures::{RenderCx, REGISTRY};
 use ehs_bench::monte::{self, SeedPlan};
 use ehs_bench::sweep::{CheckpointPolicy, Sweep, SweepOptions};
-use serde::{Deserialize, Serialize};
+use serde::{Content, Serialize};
 
 /// One appended measurement in `BENCH_sweep.json`.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchRecord {
     unix_ms: u64,
     wall_ms: u64,
@@ -56,177 +50,21 @@ struct BenchRecord {
     in_flight_waits: u64,
     checkpoint_every_cycles: u64,
     resumed: u64,
-    /// Cycles simulated in-process. `None` (JSON `null`) marks records
-    /// from before cycle accounting existed, where the true count is
-    /// unknowable — distinct from a genuine 0 (an all-cache-hit run).
-    cycles_simulated: Option<u64>,
+    /// Cycles simulated in-process. Records from before cycle
+    /// accounting existed carry `null` here: the true count is unknown,
+    /// which is distinct from a genuine 0 (an all-cache-hit run).
+    cycles_simulated: u64,
     /// Seeds per headline of a `--stats` run; `None` for a plain
     /// figure-rendering run (and for records predating the mode).
     stats_seeds: Option<u64>,
     /// First seed of a `--stats` run; `None` like `stats_seeds`.
     stats_seed_base: Option<u64>,
-    /// Slice budget misses simulated under (`--slices`); 1 for a
-    /// monolithic run, and for records predating sliced execution.
-    slices: u64,
-    /// Whether this was a `--sampled` (SMARTS-mode) run.
-    sampled: bool,
-}
-
-/// The record shape between the `--stats` mode and sliced/sampled
-/// execution. Those runs were monolithic: `slices` migrates to 1 and
-/// `sampled` to false.
-#[derive(Deserialize)]
-struct BenchRecordV2 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-    checkpoint_every_cycles: u64,
-    resumed: u64,
-    cycles_simulated: Option<u64>,
-    stats_seeds: Option<u64>,
-    stats_seed_base: Option<u64>,
-}
-
-/// The record shape between cycle accounting and the `--stats` Monte
-/// Carlo mode. The stats fields migrate to `None` — those runs were
-/// plain renders.
-#[derive(Deserialize)]
-struct BenchRecordV1 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-    checkpoint_every_cycles: u64,
-    resumed: u64,
-    cycles_simulated: Option<u64>,
-}
-
-/// The record shape before the checkpoint counters existed. Old entries
-/// migrate instead of wiping the history: the checkpoint counters were
-/// truly zero then (the feature did not exist), while the cycle count —
-/// which the run did burn but never measured — migrates to "unknown"
-/// via [`fixup_unknown_cycles`].
-#[derive(Deserialize)]
-struct BenchRecordV0 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-}
-
-/// Decodes one bench-log entry, trying shapes newest-first;
-/// unrecognizable entries are dropped (the log is advisory).
-fn migrate_record(c: &serde::Content) -> Option<BenchRecord> {
-    if let Ok(r) = BenchRecord::from_content(c) {
-        return Some(fixup_unknown_cycles(r));
-    }
-    if let Ok(v2) = BenchRecordV2::from_content(c) {
-        return Some(fixup_unknown_cycles(BenchRecord {
-            unix_ms: v2.unix_ms,
-            wall_ms: v2.wall_ms,
-            jobs: v2.jobs,
-            cache_enabled: v2.cache_enabled,
-            figures: v2.figures,
-            requested: v2.requested,
-            unique_points: v2.unique_points,
-            simulated: v2.simulated,
-            disk_hits: v2.disk_hits,
-            memo_hits: v2.memo_hits,
-            in_flight_waits: v2.in_flight_waits,
-            checkpoint_every_cycles: v2.checkpoint_every_cycles,
-            resumed: v2.resumed,
-            cycles_simulated: v2.cycles_simulated,
-            stats_seeds: v2.stats_seeds,
-            stats_seed_base: v2.stats_seed_base,
-            slices: 1,
-            sampled: false,
-        }));
-    }
-    if let Ok(v1) = BenchRecordV1::from_content(c) {
-        return Some(fixup_unknown_cycles(BenchRecord {
-            unix_ms: v1.unix_ms,
-            wall_ms: v1.wall_ms,
-            jobs: v1.jobs,
-            cache_enabled: v1.cache_enabled,
-            figures: v1.figures,
-            requested: v1.requested,
-            unique_points: v1.unique_points,
-            simulated: v1.simulated,
-            disk_hits: v1.disk_hits,
-            memo_hits: v1.memo_hits,
-            in_flight_waits: v1.in_flight_waits,
-            checkpoint_every_cycles: v1.checkpoint_every_cycles,
-            resumed: v1.resumed,
-            cycles_simulated: v1.cycles_simulated,
-            stats_seeds: None,
-            stats_seed_base: None,
-            slices: 1,
-            sampled: false,
-        }));
-    }
-    let old = BenchRecordV0::from_content(c).ok()?;
-    Some(fixup_unknown_cycles(BenchRecord {
-        unix_ms: old.unix_ms,
-        wall_ms: old.wall_ms,
-        jobs: old.jobs,
-        cache_enabled: old.cache_enabled,
-        figures: old.figures,
-        requested: old.requested,
-        unique_points: old.unique_points,
-        simulated: old.simulated,
-        disk_hits: old.disk_hits,
-        memo_hits: old.memo_hits,
-        in_flight_waits: old.in_flight_waits,
-        checkpoint_every_cycles: 0,
-        resumed: 0,
-        cycles_simulated: Some(0),
-        stats_seeds: None,
-        stats_seed_base: None,
-        slices: 1,
-        sampled: false,
-    }))
-}
-
-/// Repairs records whose `cycles_simulated` predates cycle accounting.
-/// A run that simulated at least one point necessarily burned cycles,
-/// so `simulated > 0` with a zero (or V0-migrated) cycle count is a
-/// provably-false value; it becomes `None` ("unknown") rather than
-/// keeping the lie in the log. A zero alongside `simulated == 0` is a
-/// genuine all-cache-hit run and is kept.
-fn fixup_unknown_cycles(mut r: BenchRecord) -> BenchRecord {
-    if r.simulated > 0 && r.cycles_simulated == Some(0) {
-        r.cycles_simulated = None;
-    }
-    r
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper [--only id1,id2,...] [--no-cache] [--jobs N] [--slices K] \
-         [--sampled] [--checkpoint-every N] [--stats] [--seeds N] \
-         [--seed-base N] [--list]\n\
+        "usage: paper [--only id1,id2,...] [--no-cache] [--jobs N] \
+         [--checkpoint-every N] [--stats] [--seeds N] [--seed-base N] [--list]\n\
          ids are short (fig10, tab2) or file ids (fig10_speedup_baseline)"
     );
     std::process::exit(2);
@@ -240,8 +78,6 @@ fn main() {
     // 250M cycles keeps the worst-case repaid work to a few seconds.
     let mut checkpoint_every: u64 = 250_000_000;
     let mut stats_mode = false;
-    let mut slices: Option<usize> = None;
-    let mut sampled_mode = false;
     let mut seeds: u64 = 16;
     let mut seed_base: u64 = monte::DEFAULT_SEED_BASE;
     let mut args = std::env::args().skip(1);
@@ -263,14 +99,6 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--slices" => {
-                let n = args.next().and_then(|s| s.parse().ok());
-                match n {
-                    Some(n) if n >= 1 => slices = Some(n),
-                    _ => usage(),
-                }
-            }
-            "--sampled" => sampled_mode = true,
             "--stats" => stats_mode = true,
             "--seeds" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => seeds = n,
@@ -290,9 +118,6 @@ fn main() {
         }
     }
 
-    if sampled_mode && only.is_none() {
-        only = Some(vec!["fig27".to_owned()]);
-    }
     let figures: Vec<_> = match &only {
         None => REGISTRY.to_vec(),
         Some(ids) => ids
@@ -316,7 +141,6 @@ fn main() {
             dir: Sweep::default_cache_dir(results_dir),
             every_cycles: checkpoint_every,
         }),
-        slices,
     });
 
     let t0 = Instant::now();
@@ -406,29 +230,108 @@ fn main() {
         in_flight_waits: stats.in_flight_waits,
         checkpoint_every_cycles: checkpoint_every,
         resumed: stats.resumed,
-        cycles_simulated: Some(stats.cycles_simulated),
+        cycles_simulated: stats.cycles_simulated,
         stats_seeds: stats_mode.then_some(seeds),
         stats_seed_base: stats_mode.then_some(seed_base),
-        slices: sweep.slices() as u64,
-        sampled: sampled_mode,
     };
-    append_bench_record("BENCH_sweep.json", record);
+    append_bench_record(Path::new("BENCH_sweep.json"), &record);
 }
 
 /// Appends one record to the JSON array in `path` (creating it if
-/// missing; an unreadable file is replaced rather than crashing the
-/// run, since the benchmark log is advisory).
-fn append_bench_record(path: &str, record: BenchRecord) {
-    let mut records: Vec<BenchRecord> = std::fs::read_to_string(path)
+/// missing; a file that is not a JSON array is replaced rather than
+/// crashing the run, since the benchmark log is advisory).
+///
+/// Existing entries are carried over as raw JSON values, whatever their
+/// shape: records from older versions of this binary (and fields they
+/// had that the current one lacks) stay in the history as they were.
+fn append_bench_record(path: &Path, record: &BenchRecord) {
+    let mut records: Vec<Content> = std::fs::read_to_string(path)
         .ok()
-        .and_then(|text| serde_json::from_str::<serde::Content>(&text).ok())
-        .and_then(|c| {
-            c.as_seq()
-                .map(|s| s.iter().filter_map(migrate_record).collect())
+        .and_then(|text| serde_json::from_str::<Content>(&text).ok())
+        .and_then(|c| match c {
+            Content::Seq(s) => Some(s),
+            _ => None,
         })
         .unwrap_or_default();
-    records.push(record);
+    records.push(record.to_content());
     let json = serde_json::to_string_pretty(&records).expect("serialise bench records");
-    std::fs::write(path, json).expect("write BENCH_sweep.json");
-    println!("[bench record appended to {path}]");
+    std::fs::write(path, json).expect("write bench record file");
+    println!("[bench record appended to {}]", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record() -> BenchRecord {
+        BenchRecord {
+            unix_ms: 1,
+            wall_ms: 2,
+            jobs: 1,
+            cache_enabled: false,
+            figures: 3,
+            requested: 120,
+            unique_points: 60,
+            simulated: 60,
+            disk_hits: 0,
+            memo_hits: 60,
+            in_flight_waits: 0,
+            checkpoint_every_cycles: 20_000,
+            resumed: 0,
+            cycles_simulated: 123_456,
+            stats_seeds: None,
+            stats_seed_base: None,
+        }
+    }
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("paper-{name}-{}.json", std::process::id()))
+    }
+
+    fn read(path: &Path) -> Content {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn append_keeps_every_existing_record_unchanged() {
+        let base = r#""unix_ms": 1, "wall_ms": 78816, "jobs": 1, "cache_enabled": true,
+            "figures": 24, "requested": 5200, "unique_points": 1620, "simulated": 1620,
+            "disk_hits": 0, "memo_hits": 3580, "in_flight_waits": 0"#;
+        let ckpt = r#""checkpoint_every_cycles": 0, "resumed": 0, "cycles_simulated": null"#;
+        let stats = r#""stats_seeds": 16, "stats_seed_base": 1000"#;
+        let history = format!(
+            "[{{{base}}},\n\
+             {{{base}, {ckpt}}},\n\
+             {{{base}, {ckpt}, {stats}}},\n\
+             {{{base}, {ckpt}, {stats}, \"slices\": 4, \"sampled\": true}},\n\
+             {},\n\
+             {{\"unknown\": [1, -2, 0.5, \"x\", {{\"nested\": null}}]}}]",
+            serde_json::to_string(&record()).unwrap()
+        );
+        let path = temp_path("history");
+        std::fs::write(&path, &history).unwrap();
+        let before: Content = serde_json::from_str(&history).unwrap();
+        let before = before.as_seq().unwrap();
+
+        append_bench_record(&path, &record());
+        let after = read(&path);
+        let after = after.as_seq().unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        assert_eq!(after.len(), before.len() + 1);
+        assert_eq!(&after[..before.len()], before, "history must survive");
+        assert_eq!(after[before.len()], record().to_content());
+    }
+
+    #[test]
+    fn append_replaces_a_file_that_is_not_an_array() {
+        for garbage in ["{\"not\": \"an array\"}", "not json at all"] {
+            let path = temp_path("garbage");
+            std::fs::write(&path, garbage).unwrap();
+            append_bench_record(&path, &record());
+            let after = read(&path);
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(after, Content::Seq(vec![record().to_content()]));
+        }
+    }
 }

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! verify matrix [--seed SEED] [--samples N] [--no-invariants]
-//! verify slices [--seed SEED] [--samples N] [--slices K] [--workloads a,b,...]
 //! verify fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N]
 //!               [--checkpoint-every N]
 //! verify shrink --input CASE.json [--output FILE] [--fault REG] [--budget N]
@@ -12,9 +11,7 @@
 //! ```
 //!
 //! `matrix` sweeps the full 20-workload × 7-configuration × 4-trace-kind
-//! differential grid; `slices` sweeps the slice-equivalence oracle
-//! (monolithic vs pausing forward pass vs slice-by-slice replay) over a
-//! workload × 7-configuration grid; `fuzz` runs the adversarial outage fuzzer and
+//! differential grid; `fuzz` runs the adversarial outage fuzzer and
 //! prints (shrunk) reproducers for any divergence; `shrink` minimizes a
 //! committed corpus case. With `--checkpoint-every N`, shrinking resumes
 //! each ddmin candidate from the nearest pre-failure machine snapshot
@@ -34,9 +31,8 @@ use ehs_verify::{
     parse_seed, shrink_trace, shrink_trace_checkpointed, CorpusCase,
 };
 
-const USAGE: &str = "usage: verify <matrix|fuzz|shrink|slices> [options]
+const USAGE: &str = "usage: verify <matrix|fuzz|shrink> [options]
   matrix [--seed SEED] [--samples N] [--no-invariants]
-  slices [--seed SEED] [--samples N] [--slices K] [--workloads a,b,...]
   fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N] [--checkpoint-every N]
   shrink --input CASE.json [--output FILE] [--fault REG] [--budget N] [--checkpoint-every N]";
 
@@ -49,7 +45,6 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     match cmd.as_str() {
         "matrix" => cmd_matrix(rest),
-        "slices" => cmd_slices(rest),
         "fuzz" => cmd_fuzz(rest),
         "shrink" => cmd_shrink(rest),
         _ => {
@@ -158,94 +153,6 @@ fn cmd_matrix(args: &[String]) -> ExitCode {
     }
     if failures.is_empty() {
         println!("matrix OK");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_slices(args: &[String]) -> ExitCode {
-    let mut seed = parse_seed("0xEHS");
-    let mut samples = 50_000usize;
-    let mut max_slices = 4usize;
-    let mut workloads: Vec<&'static ehs_workloads::Workload> =
-        ehs_workloads::SUITE.iter().collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => match flag_value(args, &mut i, "--seed") {
-                Ok(v) => seed = parse_seed(v),
-                Err(c) => return c,
-            },
-            "--samples" => match flag_value(args, &mut i, "--samples") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => samples = n,
-                    Err(e) => {
-                        eprintln!("verify: --samples: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--slices" => match flag_value(args, &mut i, "--slices") {
-                Ok(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => max_slices = n,
-                    Ok(_) | Err(_) => {
-                        eprintln!("verify: --slices needs a positive slice count");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--workloads" => match flag_value(args, &mut i, "--workloads") {
-                Ok(v) => {
-                    let mut picked = Vec::new();
-                    for name in v.split(',').filter(|n| !n.is_empty()) {
-                        match ehs_workloads::by_name(name) {
-                            Some(w) => picked.push(w),
-                            None => {
-                                eprintln!("verify: unknown workload `{name}`");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    if picked.is_empty() {
-                        eprintln!("verify: --workloads selected nothing");
-                        return ExitCode::from(2);
-                    }
-                    workloads = picked;
-                }
-                Err(c) => return c,
-            },
-            other => {
-                eprintln!("verify: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-
-    println!(
-        "slice-equivalence matrix: {} workloads x 7 configs, up to {max_slices} slices \
-         (seed {seed:#x}, {samples} samples)",
-        workloads.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = ehs_verify::run_slice_matrix(&workloads, seed, samples, max_slices);
-    let failures = report.failures();
-    println!(
-        "{} cells checked in {:.1}s: {} matched, {} failed",
-        report.entries.len(),
-        t0.elapsed().as_secs_f64(),
-        report.entries.len() - failures.len(),
-        failures.len()
-    );
-    for f in &failures {
-        let why = f.outcome.as_ref().err().map(String::as_str).unwrap_or("");
-        println!("  FAIL {} / {}: {why}", f.workload, f.config.name());
-    }
-    if failures.is_empty() {
-        println!("slices OK");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -7,10 +7,8 @@
 //! the union of all figures and simulate each unique point exactly once
 //! — and [`Figure::render`], which pulls those (now memoized) results
 //! back out of the engine, prints the paper's rows, and writes
-//! `results/<file_id>.json`. The historical one-figure binaries call
-//! [`run_standalone`], which runs the same implementation against a
-//! private in-memory engine, so both paths produce byte-identical
-//! output.
+//! `results/<file_id>.json`. The `paper` binary renders them all, and
+//! `paper --only <id>` renders one figure through the same path.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -32,7 +30,6 @@ mod fig14;
 mod fig15;
 mod fig23;
 mod fig26;
-mod fig27;
 mod sensitivity;
 mod tab2;
 mod tab3;
@@ -150,15 +147,14 @@ impl RenderCx<'_> {
         self.sweep.suite(cfg, trace)
     }
 
-    /// Writes `<out_dir>/<file_id>.json` exactly like the historical
-    /// binaries did.
+    /// Writes `<out_dir>/<file_id>.json`.
     pub fn write<T: Serialize>(&self, file_id: &str, rows: &T) {
         crate::write_results_to(&self.out_dir, file_id, rows);
     }
 }
 
-/// All 26 experiments, in presentation order.
-pub static REGISTRY: [&dyn Figure; 26] = [
+/// All 25 experiments, in presentation order.
+pub static REGISTRY: [&dyn Figure; 25] = [
     &fig01::Fig01,
     &fig02::Fig02,
     &fig04::Fig04,
@@ -184,7 +180,6 @@ pub static REGISTRY: [&dyn Figure; 26] = [
     &tab4::Tab4,
     &tab_hw::TabHw,
     &sensitivity::ABLATIONS,
-    &fig27::Fig27,
 ];
 
 /// Looks a figure up by its short id or its file id.
@@ -193,19 +188,6 @@ pub fn by_id(id: &str) -> Option<&'static dyn Figure> {
         .iter()
         .find(|f| f.id() == id || f.file_id() == id)
         .copied()
-}
-
-/// Runs one figure the way its historical standalone binary did: a
-/// private in-memory engine, results into `results/`.
-///
-/// # Panics
-///
-/// Panics if `id` names no registered figure or a simulation fails.
-pub fn run_standalone(id: &str) {
-    let fig = by_id(id).unwrap_or_else(|| panic!("no figure with id `{id}`"));
-    let sweep = Sweep::in_memory();
-    let cx = RenderCx::new(&sweep);
-    fig.render(&cx);
 }
 
 /// The default power environment of §6 (synthetic RFHome).

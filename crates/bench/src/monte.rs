@@ -183,7 +183,7 @@ mod tests {
     fn most_registry_figures_declare_headlines() {
         // Analytic artefacts and the motivational trace figure have no
         // scalar headline; everything else must be seed-sweepable.
-        let exempt = ["fig01", "fig04", "tab_hw", "fig27"];
+        let exempt = ["fig01", "fig04", "tab_hw"];
         for f in REGISTRY {
             let has = !f.headlines().is_empty();
             assert_eq!(

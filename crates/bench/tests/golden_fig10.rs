@@ -1,6 +1,6 @@
 //! The golden equivalence test behind the `paper` binary's promise:
-//! rendering fig10 the legacy way (standalone, in-memory engine), the
-//! `paper` way (points requested up front, disk cache, render from
+//! rendering fig10 lazily (in-memory engine, points resolved on
+//! demand during the render), the `paper` way (points requested up front, disk cache, render from
 //! memo), and again warm from the cache must all produce byte-identical
 //! `results/fig10_speedup_baseline.json` — and the engine's counters
 //! must prove each unique point was simulated exactly once (cold) and
@@ -23,13 +23,13 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let fig = by_id("fig10").expect("fig10 registered");
     let file = format!("{}.json", fig.file_id());
 
-    // 1. Legacy path: what `--bin fig10_speedup_baseline` does.
-    let legacy_dir = tmp_dir("legacy");
+    // 1. Lazy path: render straight away, resolving points on demand.
+    let lazy_dir = tmp_dir("lazy");
     {
         let sweep = Sweep::in_memory();
         let cx = RenderCx {
             sweep: &sweep,
-            out_dir: legacy_dir.clone(),
+            out_dir: lazy_dir.clone(),
         };
         fig.render(&cx);
     }
@@ -40,7 +40,6 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let cold_dir = tmp_dir("cold");
     {
         let sweep = Sweep::new(SweepOptions {
-            slices: None,
             jobs: None,
             disk_cache: Some(cache_dir.clone()),
             checkpoints: None,
@@ -67,7 +66,6 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let warm_dir = tmp_dir("warm");
     {
         let sweep = Sweep::new(SweepOptions {
-            slices: None,
             jobs: None,
             disk_cache: Some(cache_dir.clone()),
             checkpoints: None,
@@ -82,13 +80,13 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
         assert!(s.disk_hits > 0, "{s:?}");
     }
 
-    let legacy = std::fs::read(legacy_dir.join(&file)).expect("legacy results");
+    let lazy = std::fs::read(lazy_dir.join(&file)).expect("lazy results");
     let cold = std::fs::read(cold_dir.join(&file)).expect("cold results");
     let warm = std::fs::read(warm_dir.join(&file)).expect("warm results");
-    assert!(legacy == cold, "cold paper run diverged from legacy bytes");
-    assert!(legacy == warm, "warm paper run diverged from legacy bytes");
+    assert!(lazy == cold, "cold paper run diverged from lazy bytes");
+    assert!(lazy == warm, "warm paper run diverged from lazy bytes");
 
-    for d in [legacy_dir, cache_dir, cold_dir, warm_dir] {
+    for d in [lazy_dir, cache_dir, cold_dir, warm_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

@@ -94,7 +94,6 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
     let cache = unique_dir("cache");
     let out_cold = unique_dir("out-cold");
     let cold_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(cache.clone()),
         checkpoints: None,
@@ -106,7 +105,6 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
     // disk and must emit the same bytes.
     let out_warm = unique_dir("out-warm");
     let warm_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(cache.clone()),
         checkpoints: None,
@@ -139,7 +137,6 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
 
     let out_resumed = unique_dir("out-resumed");
     let resumed_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(ckpt_cache.clone()),
         checkpoints: Some(policy),

@@ -68,7 +68,6 @@ fn disk_cache_round_trips_and_survives_a_new_engine() {
     let p = tiny_point();
 
     let first = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
         checkpoints: None,
@@ -83,7 +82,6 @@ fn disk_cache_round_trips_and_survives_a_new_engine() {
 
     // A brand-new engine over the same directory must not simulate.
     let second = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
         checkpoints: None,
@@ -106,7 +104,6 @@ fn corrupt_cache_entry_is_a_miss_not_a_crash() {
     let p = tiny_point();
 
     let first = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
         checkpoints: None,
@@ -116,7 +113,6 @@ fn corrupt_cache_entry_is_a_miss_not_a_crash() {
     std::fs::write(&entry, b"{ not json").expect("clobber the entry");
 
     let second = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
         checkpoints: None,

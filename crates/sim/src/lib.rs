@@ -28,7 +28,6 @@ pub mod canon;
 mod config;
 mod machine;
 mod result;
-pub mod slice;
 pub mod snapshot;
 mod trace;
 
@@ -43,7 +42,6 @@ pub use config::{PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
 pub const ENGINE_ID: &str = "predecode-v1";
 pub use machine::{CycleMark, FaultPlan, Machine, RunStatus, SimError};
 pub use result::{SimResult, SimStats};
-pub use slice::{ForwardPass, SliceError, SliceOutcome, SlicePlan, Stitched};
 pub use snapshot::{MemRun, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use trace::{
     CountingSink, EventCounts, JsonlSink, NullSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,

@@ -38,13 +38,7 @@
 //! `tests/corpus/snapshots/`, turning any unintended change to timing,
 //! energy or controller state into a field-level diff. The `verify` binary in
 //! `ehs-bench` exposes all of this on the command line
-//! (`verify matrix | fuzz | shrink | slices`).
-//!
-//! A fourth layer, the **slice-equivalence oracle** ([`slices`]),
-//! guards the time-sliced executor (`ehs_sim::slice`): for every
-//! (workload, configuration) cell it proves that a pausing forward
-//! pass and a slice-by-slice replay of the captured plan both land on
-//! the monolithic run's exact result and state digest.
+//! (`verify matrix | fuzz | shrink`).
 
 pub mod checkpoint;
 pub mod corpus;
@@ -52,7 +46,6 @@ pub mod fuzz;
 pub mod invariants;
 pub mod oracle;
 pub mod shrink;
-pub mod slices;
 pub mod snapcorpus;
 
 pub use checkpoint::{shrink_trace_checkpointed, CheckpointShrinkStats};
@@ -61,7 +54,6 @@ pub use fuzz::{FuzzFailure, FuzzOptions, FuzzReport};
 pub use invariants::InvariantSink;
 pub use oracle::{ArchState, CheckOutcome, ConfigId, Divergence, MatrixReport};
 pub use shrink::shrink_trace;
-pub use slices::{run_slice_matrix, SliceCell, SliceReport};
 
 /// Parses a seed that may be decimal, `0x`-prefixed hex, or an arbitrary
 /// tag (e.g. `0xEHS`, which is *not* valid hex): anything unparsable is

@@ -15,8 +15,7 @@ use proptest::prelude::*;
 
 use ehs_repro::energy::PowerTrace;
 use ehs_repro::prefetch::{DataPrefetcherKind, InstPrefetcherKind};
-use ehs_repro::sim::slice::{plan_at, run_sliced_serial};
-use ehs_repro::sim::{Ipex, Machine, SimConfig, Snapshot};
+use ehs_repro::sim::{Ipex, Machine, RunStatus, SimConfig, Snapshot};
 use ehs_repro::verify::run_parallel;
 use ehs_repro::workloads::SUITE;
 
@@ -120,12 +119,13 @@ fn grid_cfg(ikind: InstPrefetcherKind, dkind: DataPrefetcherKind, policy: u8) ->
 }
 
 proptest! {
-    /// Random K-way slicing at arbitrary `run_until` boundaries
+    /// A run cut at 1–5 random `run_until` boundaries, each leg handed
+    /// to a fresh machine through snapshot → JSON → `Machine::resume`,
     /// stitches bit-identically to the monolithic run, across every
     /// prefetcher kind (4 instruction × 5 data) and all 5 throttling
-    /// policies, under random supplies. This is the end-to-end slicing
-    /// guarantee `ehs_sim::slice` rests on: entry snapshots + replayed
-    /// targets reproduce the exact result and final state digest.
+    /// policies, under random supplies. This is what periodic
+    /// checkpointing rests on: pausing is neutral and resume is exact,
+    /// down to the result and the final state digest.
     #[test]
     fn random_k_way_slicing_stitches_bit_identically(
         ikind in prop_oneof![
@@ -154,16 +154,32 @@ proptest! {
         let truth = mono.run().expect("monolithic run completes");
         let truth_digest = mono.state_digest(&program);
 
-        // plan_at demands strictly increasing, nonzero boundaries.
         let mut cuts = raw_cuts;
         cuts.sort_unstable();
         cuts.dedup();
-        let plan = plan_at(&cfg, &program, &trace, &cuts).expect("forward pass");
-        let stitched = run_sliced_serial(&plan, &program, &trace).expect("sliced replay");
-        prop_assert_eq!(&stitched.result, &truth, "sliced result diverged");
+        let mut m = Machine::with_trace(cfg, &program, trace.clone());
+        let mut early = None;
+        for &cut in &cuts {
+            match m.run_until(cut).expect("leg runs") {
+                RunStatus::Completed(r) => {
+                    early = Some(*r);
+                    break;
+                }
+                RunStatus::Paused => {
+                    let snap = Snapshot::from_json(&m.snapshot(&program).to_json())
+                        .expect("snapshot round-trips through JSON");
+                    m = Machine::resume(&snap, &program, trace.clone()).expect("resume");
+                }
+            }
+        }
+        let stitched = match early {
+            Some(r) => r,
+            None => m.run().expect("final leg completes"),
+        };
+        prop_assert_eq!(&stitched, &truth, "stitched result diverged (cuts {:?})", &cuts);
         prop_assert_eq!(
-            stitched.state_digest, truth_digest,
-            "sliced final state diverged (plan of {} slices)", plan.len()
+            m.state_digest(&program), truth_digest,
+            "stitched final state diverged (cuts {:?})", &cuts
         );
     }
 }
