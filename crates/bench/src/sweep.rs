@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use ehs_energy::{PowerTrace, TraceSpec};
 use ehs_sim::canon;
@@ -210,8 +210,8 @@ pub struct Sweep {
     state: Mutex<HashMap<PointKey, Slot>>,
     ready: Condvar,
     /// Materialised power traces, keyed by the spec's canonical JSON
-    /// (each trace is synthesized once and shared by every point).
-    traces: Mutex<HashMap<String, Arc<PowerTrace>>>,
+    /// (each trace is synthesized once; clones share its samples).
+    traces: Mutex<HashMap<String, PowerTrace>>,
     requested: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -442,12 +442,12 @@ impl Sweep {
     }
 
     /// Synthesizes (or reuses) the power trace a spec describes.
-    fn materialise(&self, spec: &TraceSpec) -> Arc<PowerTrace> {
+    fn materialise(&self, spec: &TraceSpec) -> PowerTrace {
         let id = canon::canonical_json(spec);
         let mut traces = self.traces.lock().expect("trace store poisoned");
         traces
             .entry(id)
-            .or_insert_with(|| Arc::new(spec.synthesize()))
+            .or_insert_with(|| spec.synthesize())
             .clone()
     }
 

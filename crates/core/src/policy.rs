@@ -82,6 +82,11 @@ pub trait ThrottlePolicy {
     /// Filters a prefetcher's candidate list in place down to the
     /// policy's current degree decision, preserving priority order.
     /// Returns the number of candidates kept.
+    ///
+    /// Filtering an empty list must return 0 and change nothing
+    /// (statistics included): the simulator skips the call on
+    /// same-block fetches, which propose nothing
+    /// (`tests/fast_path_contract.rs` checks every variant).
     fn filter(&mut self, candidates: &mut Vec<u32>) -> usize;
 
     /// Imminent power failure: volatile state is about to be lost.

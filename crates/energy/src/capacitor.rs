@@ -180,6 +180,35 @@ impl Capacitor {
         self.energy_nj = (self.energy_nj - nj).max(0.0);
     }
 
+    /// [`Capacitor::consume_nj`]`(draw)` followed by
+    /// [`Capacitor::harvest_nj`]`(harvest)`, bit for bit, with a shorter
+    /// dependency chain for the simulator's per-instruction update.
+    ///
+    /// With `e1 = energy - draw` and `room = max - e1`, the composition
+    /// yields `e1 + harvest` when `e1 >= 0` and `harvest <= room` (the
+    /// unclamped case) and `e1 + room` when `e1 >= 0` and
+    /// `harvest > room` (saturation: `min` picks `room`). Both sit
+    /// behind predictable branches instead of a loop-carried
+    /// `max`→`min` chain. Anything else (an overdrawn capacitor, or a
+    /// NaN) runs the composition itself, so equality holds by
+    /// construction there too.
+    #[inline]
+    pub fn consume_then_harvest(&mut self, draw: f64, harvest: f64) {
+        debug_assert!(draw >= 0.0 && harvest >= 0.0);
+        let e1 = self.energy_nj - draw;
+        if e1 >= 0.0 {
+            let room = self.max_nj - e1;
+            self.energy_nj = if harvest <= room {
+                e1 + harvest
+            } else {
+                e1 + room
+            };
+        } else {
+            self.consume_nj(draw);
+            self.harvest_nj(harvest);
+        }
+    }
+
     /// `true` when the voltage is at or below the backup threshold.
     pub fn needs_backup(&self) -> bool {
         self.voltage() <= self.cfg.v_backup

@@ -14,6 +14,8 @@
 //!   and noise, still interrupted by weak spells (the paper notes even
 //!   these traces cause frequent outages with a 0.47 µF capacitor).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -123,7 +125,7 @@ impl TraceKind {
                 }
             }
         }
-        PowerTrace { power_mw }
+        PowerTrace::from_vec(power_mw)
     }
 }
 
@@ -235,12 +237,24 @@ impl TraceSpec {
 ///
 /// Traces repeat cyclically when the simulation outlives them, matching
 /// the paper's "record and replay" methodology.
+///
+/// The samples are immutable and shared: cloning a trace (once per
+/// simulated point) bumps a reference count instead of copying
+/// megabytes of samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTrace {
-    power_mw: Vec<f64>,
+    power_mw: Arc<Vec<f64>>,
 }
 
 impl PowerTrace {
+    /// Moves the samples behind the shared pointer (no copy of the
+    /// samples themselves).
+    fn from_vec(power_mw: Vec<f64>) -> PowerTrace {
+        PowerTrace {
+            power_mw: Arc::new(power_mw),
+        }
+    }
+
     /// Builds a trace from raw milliwatt samples.
     ///
     /// # Panics
@@ -255,7 +269,7 @@ impl PowerTrace {
             power_mw.iter().all(|p| *p >= 0.0),
             "power samples must be non-negative"
         );
-        PowerTrace { power_mw }
+        PowerTrace::from_vec(power_mw)
     }
 
     /// A constant-power trace (useful in tests and for ideal-supply
@@ -303,7 +317,7 @@ impl PowerTrace {
     /// (milliwatts) per line.
     pub fn to_text(&self) -> String {
         let mut s = String::with_capacity(self.power_mw.len() * 8);
-        for p in &self.power_mw {
+        for p in self.power_mw.iter() {
             s.push_str(&format!("{p:.6}\n"));
         }
         s
@@ -336,7 +350,7 @@ impl PowerTrace {
         if power_mw.is_empty() {
             return Err("trace contains no samples".to_owned());
         }
-        Ok(PowerTrace { power_mw })
+        Ok(PowerTrace::from_vec(power_mw))
     }
 }
 
@@ -373,6 +387,17 @@ mod tests {
             let back: TraceSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(back, spec, "{json}");
         }
+    }
+
+    #[test]
+    fn clones_share_samples_and_json_stays_a_sample_list() {
+        let t = PowerTrace::from_samples_mw(vec![1.0, 2.5, 0.0]);
+        assert!(Arc::ptr_eq(&t.power_mw, &t.clone().power_mw));
+        let json = serde_json::to_string(&t).unwrap();
+        let samples = serde_json::to_string(&vec![1.0, 2.5, 0.0]).unwrap();
+        assert_eq!(json, format!("{{\"power_mw\":{samples}}}"));
+        let back: PowerTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!    exactly sequential execution; outages only change *timing* and
 //!    *energy*.
 
+use std::sync::{Mutex, PoisonError};
+
 use crate::predecode::DecodeCache;
 use crate::{ExecClass, ExecError, Instr, MemWidth, Program, Reg, STACK_TOP};
 
@@ -58,7 +60,7 @@ pub struct Step {
 ///
 /// See the [module documentation](self) for how this integrates with the
 /// timing simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Interpreter {
     regs: [u32; 16],
     pc: u32,
@@ -79,6 +81,34 @@ pub const DEFAULT_MEM_BYTES: usize = 16 << 20;
 
 /// Granule of the interpreter's touched-page map, in bytes.
 pub const PAGE_BYTES: usize = 4096;
+
+/// All-zero memory images handed back by dropped interpreters, reused
+/// by the next ones of the same size.
+///
+/// A fresh image is a 16 MB zeroed allocation. Once the allocator
+/// recycles freed images from its heap it must clear every byte of
+/// them, which was most of the cost of building a machine. A dropped
+/// interpreter instead clears only its touched pages (a clear bit in
+/// the map already guarantees a zero page), so an image returns to zero
+/// in O(touched pages).
+///
+/// The list needs no cap. Images are made only here (an `Interpreter`
+/// is not `Clone`), and only when no spare fits, so the images of a size,
+/// live and spare together, never outnumber the peak number of live
+/// interpreters of that size.
+static SPARE_IMAGES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// An all-zero image of `len` bytes, from the spares when one fits.
+///
+/// A poisoned lock is used as is: every update of the list (one push or
+/// `swap_remove`) leaves it valid.
+fn zeroed_image(len: usize) -> Vec<u8> {
+    let mut spare = SPARE_IMAGES.lock().unwrap_or_else(PoisonError::into_inner);
+    match spare.iter().position(|m| m.len() == len) {
+        Some(i) => spare.swap_remove(i),
+        None => vec![0; len],
+    }
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -109,7 +139,7 @@ impl Interpreter {
     ///
     /// Panics if the program image does not fit in `mem_bytes`.
     pub fn with_mem_size(program: &Program, mem_bytes: usize) -> Interpreter {
-        let mut mem = vec![0u8; mem_bytes];
+        let mut mem = zeroed_image(mem_bytes);
         for seg in program.segments() {
             let base = seg.base as usize;
             assert!(
@@ -546,6 +576,24 @@ pub fn mem_digest_of(bytes: &[u8]) -> u64 {
     fold_words(FNV_OFFSET, bytes)
 }
 
+impl Drop for Interpreter {
+    /// Clears the touched pages and offers the now all-zero image to
+    /// the next interpreter (see `SPARE_IMAGES`).
+    fn drop(&mut self) {
+        let len = self.mem.len();
+        for page in 0..len.div_ceil(PAGE_BYTES) {
+            if self.page_touched(page) {
+                self.mem[page_range(page, len)].fill(0);
+            }
+        }
+        let mem = std::mem::take(&mut self.mem);
+        SPARE_IMAGES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(mem);
+    }
+}
+
 /// Byte range of page `page` in a `len`-byte image (the last page may be
 /// short).
 pub(crate) fn page_range(page: usize, len: usize) -> std::ops::Range<usize> {
@@ -606,6 +654,48 @@ mod tests {
         let mut vm = Interpreter::new(&p);
         vm.run(1_000_000).expect("halts");
         vm
+    }
+
+    #[test]
+    fn recycled_memory_images_come_back_as_fresh_loads() {
+        // A size no other test uses (spares are matched by size), with a
+        // partial last page.
+        let len = 0x10_0000 + 7 * PAGE_BYTES + 124;
+        let p = assemble(
+            r#"
+            .text
+            main:
+                li t0, -1
+                sw t0, -4(sp)
+                la a1, buf
+                sw t0, 0(a1)
+                halt
+            .data
+            buf: .space 16
+            "#,
+        )
+        .expect("assembles");
+        let mut expected = vec![0u8; len];
+        for seg in p.segments() {
+            let base = seg.base as usize;
+            expected[base..base + seg.bytes.len()].copy_from_slice(&seg.bytes);
+        }
+        // Several live interpreters at once, dirtied (by stores, by
+        // restores across a page boundary, up to the last byte) and
+        // dropped, twice over, then more than were ever live at once.
+        for live in [3, 3, 5] {
+            let vms: Vec<Interpreter> = (0..live)
+                .map(|_| {
+                    let mut vm = Interpreter::with_mem_size(&p, len);
+                    assert!(vm.mem() == expected.as_slice(), "image not fresh");
+                    vm.run(100).expect("halts");
+                    vm.write_bytes(5 * PAGE_BYTES as u32 - 7, &[0xa5; 300]);
+                    vm.write_bytes(len as u32 - 3, &[1, 2, 3]);
+                    vm
+                })
+                .collect();
+            drop(vms);
+        }
     }
 
     #[test]

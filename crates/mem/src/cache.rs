@@ -128,6 +128,11 @@ pub struct Cache {
     sets: Vec<Line>,
     set_shift: u32,
     set_mask: u32,
+    /// `set_shift` plus the set-index width: a block's tag is
+    /// `block >> tag_shift`. Precomputed so no probe pays for a
+    /// `count_ones` (which is not a single instruction on the baseline
+    /// x86-64 target).
+    tag_shift: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -143,11 +148,13 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Cache {
         cfg.validate();
         let num_sets = cfg.num_sets();
+        let set_shift = BLOCK_SIZE.trailing_zeros();
         Cache {
             cfg,
             sets: vec![Line::default(); (num_sets * cfg.assoc) as usize],
-            set_shift: BLOCK_SIZE.trailing_zeros(),
+            set_shift,
             set_mask: num_sets - 1,
+            tag_shift: set_shift + num_sets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -170,7 +177,7 @@ impl Cache {
 
     #[inline]
     fn tag_of(&self, block: u32) -> u32 {
-        block >> self.set_shift >> self.set_mask.count_ones()
+        block >> self.tag_shift
     }
 
     fn ways(&mut self, block: u32) -> &mut [Line] {
@@ -227,9 +234,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         self.stats.fills += 1;
-        let set_bits = self.set_mask.count_ones();
         let set_index = (block >> self.set_shift) & self.set_mask;
-        let shift = self.set_shift;
 
         // Already resident (e.g. racing prefetch promotion): refresh only.
         for line in self.ways(block) {
@@ -265,7 +270,7 @@ impl Cache {
         };
         if evicted_dirty {
             self.stats.writebacks += 1;
-            let victim_block = ((evicted_tag << set_bits) | set_index) << shift;
+            let victim_block = (evicted_tag << self.tag_shift) | (set_index << self.set_shift);
             Some(Writeback {
                 block: victim_block,
             })

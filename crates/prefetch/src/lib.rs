@@ -70,6 +70,12 @@ pub trait Prefetcher {
     ///
     /// `out` is not cleared; the caller owns the buffer and may reuse it
     /// across calls after draining.
+    ///
+    /// Contract for instruction prefetchers: after observing a fetch to
+    /// block B (any outcome), a [`AccessOutcome::CacheHit`] fetch to B
+    /// appends nothing and leaves [`Prefetcher::export_state`]
+    /// unchanged. The simulator relies on it to skip same-block fetches
+    /// (`tests/fast_path_contract.rs` checks every kind).
     fn observe(&mut self, event: &AccessEvent, out: &mut Vec<u32>);
 
     /// Wipes all volatile predictor state (tables, histories) — the

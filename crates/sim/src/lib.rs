@@ -39,7 +39,7 @@ pub use config::{PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
 /// core loop changes materially; architectural results must stay
 /// bit-identical across engine generations (the records carry a result
 /// digest to prove it).
-pub const ENGINE_ID: &str = "predecode-v1";
+pub const ENGINE_ID: &str = "predecode-v2";
 pub use machine::{CycleMark, FaultPlan, Machine, RunStatus, SimError};
 pub use result::{SimResult, SimStats};
 pub use snapshot::{MemRun, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};

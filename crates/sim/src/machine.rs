@@ -189,7 +189,15 @@ pub struct Machine {
     /// [`snapshot::trace_digest`] of `trace`, computed on first use
     /// (runs that never snapshot never hash their trace).
     trace_digest: OnceLock<u64>,
+    /// Block of the last fetch the instruction prefetcher observed, or
+    /// [`NO_BLOCK`] after construction and power loss (which resets the
+    /// prefetcher); see [`Machine::mem_access`]. Derived state, never
+    /// snapshotted.
+    last_fetch_block: u32,
 }
+
+/// A value no block address takes (blocks are 16-byte aligned).
+const NO_BLOCK: u32 = u32::MAX;
 
 impl Machine {
     /// Builds a machine over `program` with the standard synthetic
@@ -290,6 +298,7 @@ impl Machine {
             hspan_end: 0,
             hspan_rate: 0.0,
             trace_digest: OnceLock::new(),
+            last_fetch_block: NO_BLOCK,
             cfg,
         }
     }
@@ -932,6 +941,7 @@ impl Machine {
             cand,
             cfg,
             tracer,
+            last_fetch_block,
             ..
         } = self;
         let (path, pid) = if INST {
@@ -945,6 +955,15 @@ impl Machine {
         energy.cache_nj += access_nj;
         *pending_draw_nj += access_nj;
         let hit = path.cache.access(addr, is_write);
+
+        // Same-block fetch: a hit to the block of the last observed
+        // fetch. Every instruction prefetcher emits nothing and keeps its
+        // state on it (the contract on [`Prefetcher::observe`]), and every
+        // throttling policy's `filter` of an empty list is a no-op, so
+        // the observe/filter/issue steps below are skipped.
+        if INST && hit && block_of(addr) == *last_fetch_block {
+            return 1;
+        }
 
         let mut latency = 1u64;
         let outcome = if hit {
@@ -1047,6 +1066,7 @@ impl Machine {
 
         let stall = latency - 1;
         if INST {
+            *last_fetch_block = block_of(addr);
             stats.istall_cycles += stall;
         } else {
             stats.dstall_cycles += stall;
@@ -1063,9 +1083,8 @@ impl Machine {
         self.energy.compute_nj += lc * nf;
         let draw = (li + ld + lc) * nf + self.pending_draw_nj;
         self.pending_draw_nj = 0.0;
-        self.cap.consume_nj(draw);
         let harvested = self.harvest_span(self.cycle, n);
-        self.cap.harvest_nj(harvested);
+        self.cap.consume_then_harvest(draw, harvested);
         self.cycle += n;
         self.stats.on_cycles += n;
         self.stats.total_cycles = self.cycle;
@@ -1164,6 +1183,7 @@ impl Machine {
         };
         let lost_i = self.ipath.power_loss();
         let lost_d = self.dpath.power_loss();
+        self.last_fetch_block = NO_BLOCK;
         let loss_cycle = self.cycle;
         for (lost, pid) in [(lost_i, PathId::Inst), (lost_d, PathId::Data)] {
             if lost > 0 {

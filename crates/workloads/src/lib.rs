@@ -31,6 +31,8 @@ mod math;
 mod search;
 mod transform;
 
+use std::sync::OnceLock;
+
 use ehs_isa::{asm, Program};
 
 /// The shared LCG used by every workload's in-program input generator:
@@ -162,15 +164,28 @@ impl Workload {
         (self.gen)()
     }
 
-    /// Assembles the workload into a program image.
+    /// The workload's program image, assembled on the first call in
+    /// the process and cloned from that copy afterwards (assembly is
+    /// deterministic, so every call returns an identical program).
     ///
     /// # Panics
     ///
     /// Panics if the generated source does not assemble — that would be a
     /// bug in this crate, and the test suite assembles every workload.
     pub fn program(&self) -> Program {
-        asm::assemble(&self.source())
-            .unwrap_or_else(|e| panic!("workload `{}` failed to assemble: {e}", self.name))
+        /// One slot per [`SUITE`] entry, keyed by the workload's name.
+        static PROGRAMS: [OnceLock<Program>; SUITE.len()] =
+            [const { OnceLock::new() }; SUITE.len()];
+        let slot = SUITE
+            .iter()
+            .position(|w| w.name == self.name)
+            .map(|i| &PROGRAMS[i])
+            .expect("every workload is a SUITE entry");
+        slot.get_or_init(|| {
+            asm::assemble(&self.source())
+                .unwrap_or_else(|e| panic!("workload `{}` failed to assemble: {e}", self.name))
+        })
+        .clone()
     }
 
     /// The checksum the program must leave in `a0`, computed by the
@@ -380,6 +395,15 @@ mod tests {
                 "{} lacks a `result` label",
                 w.name()
             );
+        }
+    }
+
+    #[test]
+    fn memoised_program_equals_a_fresh_assembly() {
+        for w in &SUITE {
+            let fresh = asm::assemble(&w.source()).expect("assembles");
+            assert_eq!(w.program(), fresh, "{}", w.name());
+            assert_eq!(w.program(), fresh, "{} (second call)", w.name());
         }
     }
 

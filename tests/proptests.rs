@@ -200,6 +200,78 @@ proptest! {
         }
     }
 
+    /// `consume_then_harvest` is bit-equal to `consume_nj` followed by
+    /// `harvest_nj`. Each case crosses a random energy (plus empty and
+    /// full) with draws that leave charge, empty it exactly or overdraw
+    /// it, and harvests below, at, just above and far above the room
+    /// left, under a random capacitance.
+    #[test]
+    fn consume_then_harvest_is_bit_equal_to_the_composition(
+        uf in 0.05f64..50.0,
+        frac in 0.0f64..1.0,
+        draw_x in 0.0f64..2.0,
+        harvest_x in 0.0f64..2.0,
+    ) {
+        let cfg = CapacitorConfig::with_capacitance_uf(uf);
+        let max = cfg.energy_at_nj(cfg.v_max);
+        for e in [frac * max, 0.0, max] {
+            for draw in [draw_x * e, e, e.next_up(), draw_x * max, 0.0] {
+                let room = max - (e - draw).max(0.0);
+                for harvest in [harvest_x * room, room, room.next_up(), room.next_down().max(0.0), 0.0, 2.0 * max] {
+                    let mut fast = Capacitor::with_energy_nj(cfg, e);
+                    fast.consume_then_harvest(draw, harvest);
+                    let mut slow = Capacitor::with_energy_nj(cfg, e);
+                    slow.consume_nj(draw);
+                    slow.harvest_nj(harvest);
+                    prop_assert_eq!(
+                        fast.energy_nj().to_bits(),
+                        slow.energy_nj().to_bits(),
+                        "e {:e} draw {:e} harvest {:e}", e, draw, harvest
+                    );
+                }
+            }
+        }
+    }
+
+    /// The cache's victim write-backs name exactly the dirty block a
+    /// naive LRU model evicts, for several geometries down to a single
+    /// set (pins the tag and set-index arithmetic that rebuilds a
+    /// victim's address).
+    #[test]
+    fn cache_writebacks_name_the_evicted_dirty_block(
+        geometry in 0usize..4,
+        accesses in proptest::collection::vec((0u32..0x10000, any::<bool>()), 1..400),
+    ) {
+        let cfg = [
+            CacheConfig { size_bytes: 256, assoc: 2 },
+            CacheConfig { size_bytes: 2048, assoc: 4 },
+            CacheConfig { size_bytes: 512, assoc: 1 },
+            CacheConfig { size_bytes: 128, assoc: 8 },
+        ][geometry];
+        let mut cache = Cache::new(cfg);
+        let sets = cfg.num_sets();
+        // Per set, (block, dirty) in LRU order (front = LRU).
+        let mut model: Vec<Vec<(u32, bool)>> = vec![Vec::new(); sets as usize];
+        for (addr, is_write) in accesses {
+            let block = block_of(addr);
+            let set = &mut model[((block / BLOCK_SIZE) % sets) as usize];
+            if cache.access(addr, is_write) {
+                let pos = set.iter().position(|(b, _)| *b == block).expect("model hit");
+                let (_, dirty) = set.remove(pos);
+                set.push((block, dirty || is_write));
+                continue;
+            }
+            let expected = if set.len() == cfg.assoc as usize {
+                let (victim, dirty) = set.remove(0);
+                dirty.then_some(victim)
+            } else {
+                None
+            };
+            prop_assert_eq!(cache.fill(addr, is_write).map(|w| w.block), expected);
+            set.push((block, is_write));
+        }
+    }
+
     /// Prefetch-buffer occupancy is bounded and its statistics conserve:
     /// every inserted entry is eventually useful, evicted, lost, or
     /// still resident.
